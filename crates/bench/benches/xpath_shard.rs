@@ -42,9 +42,9 @@
 //! Serving-side measurements ride on the repeated-template corpus:
 //! `service_throughput` (the request stream over real sockets through
 //! the event-driven reactor, one keep-alive connection),
-//! `service_keepalive_vs_blocking` (that stream vs the same requests
-//! through the legacy blocking loop, one TCP connection per request —
-//! gated: connection reuse must keep paying), and
+//! `service_keepalive_vs_reconnect` (that stream vs the same requests
+//! through the same reactor on a fresh `Connection: close` connection
+//! per request — gated: connection reuse must keep paying), and
 //! `service_health_ratio` — the in-process stream with per-site health
 //! tracking on vs off, gated near 1.0 so the robustness loop's
 //! accounting stays effectively free. The reactor's request-latency
@@ -69,8 +69,8 @@ use aw_core::{
 };
 use aw_dom::Document;
 use aw_enum::top_down;
-use aw_eval::Executor;
 use aw_induct::{NodeSet, XPathInductor};
+use aw_pool::Executor;
 use aw_rank::{AnnotatorModel, ListFeatures, PublicationModel, RankingModel};
 use aw_sitegen::{epoch_html, generate_dealers, DealersConfig, TemplateEvolution};
 use aw_xpath::{evaluate_compiled, reference, BatchEvaluator, CompiledXPath, ShardedBatch, XPath};
@@ -402,9 +402,9 @@ fn main() {
     // Every request pays parse + DocIndex build + template fingerprint
     // before any rule can run. Timed on the serialized repeated-template
     // pages: the classic two-pass path (parse the tree, then build the
-    // index over the finished arena — what `AW_STREAM_PARSE=0` serves)
-    // vs the one-pass `StreamIndexer` (`aw_dom::parse_indexed`, the
-    // request-path default). Both legs end with the fingerprint
+    // index over the finished arena, what learning uses) vs the
+    // one-pass `StreamIndexer` (`aw_dom::parse_indexed`, the request
+    // path). Both legs end with the fingerprint
     // computed, because the serving path needs it for template-cache
     // lookup. The ratio is gated as `stream_parse_speedup`. Byte
     // identity of the two paths is asserted before timing (and in far
@@ -542,17 +542,17 @@ fn main() {
     let service_health_ratio = t_service_off / t_service;
 
     // ── HTTP serving streams ─────────────────────────────────────────
-    // The same request stream over real sockets, through both serving
-    // engines: the event-driven reactor reusing ONE keep-alive
-    // connection for the whole stream, and the legacy blocking loop
-    // paying a fresh TCP connection per request (its protocol closes
-    // after every response). `service_throughput` is the keep-alive
-    // requests/sec; the gated `service_keepalive_vs_blocking` ratio is
-    // what connection reuse buys at the socket layer. Both engines
-    // front services over the same registry, so wrapper template caches
-    // are shared and warm for both; the two streams are timed
-    // interleaved (best-of each) so machine-load drift cannot
-    // masquerade as an engine difference.
+    // The same request stream over real sockets through the reactor,
+    // twice: reusing ONE keep-alive connection for the whole stream,
+    // and paying a fresh TCP connection per request (`Connection:
+    // close`, so the reactor closes after every response).
+    // `service_throughput` is the keep-alive requests/sec; the gated
+    // `service_keepalive_vs_reconnect` ratio is what connection reuse
+    // buys at the socket layer. Two reactors front services over the
+    // same registry (so wrapper template caches are shared and warm for
+    // both, and the keep-alive latency histogram stays its own); the
+    // streams are timed interleaved (best-of each) so machine-load drift
+    // cannot masquerade as a connection-handling difference.
     let http_bodies: Vec<String> = requests
         .iter()
         .map(|(s, _, request)| {
@@ -570,14 +570,13 @@ fn main() {
         .workers(1)
         .start()
         .expect("start reactor");
-    let blocking_service =
+    let reconnect_service =
         Arc::new(ExtractionService::new(Arc::clone(&registry)).with_executor(seq.clone()));
-    let blocking = aw_serve::Server::bind(Arc::clone(&blocking_service), "127.0.0.1:0")
-        .expect("bind blocking")
+    let reconnect = aw_serve::Server::bind(reconnect_service, "127.0.0.1:0")
+        .expect("bind reconnect reactor")
         .workers(1)
-        .blocking(true)
         .start()
-        .expect("start blocking");
+        .expect("start reconnect reactor");
 
     // Reads one HTTP/1.1 response off a keep-alive stream (headers,
     // then exactly Content-Length body bytes).
@@ -636,12 +635,12 @@ fn main() {
         }
         ok
     };
-    let blocking_stream = |bodies: &[String]| -> usize {
+    let reconnect_stream = |bodies: &[String]| -> usize {
         use std::io::Write as _;
         let mut ok = 0;
         for body in bodies {
             let mut stream =
-                std::net::TcpStream::connect(blocking.addr()).expect("connect blocking");
+                std::net::TcpStream::connect(reconnect.addr()).expect("connect reactor");
             stream.set_nodelay(true).expect("nodelay");
             stream
                 .write_all(
@@ -658,27 +657,27 @@ fn main() {
         }
         ok
     };
-    // Both engines must serve the stream correctly before timing (this
-    // also warms wrapper caches and the reactor's accept path).
+    // Both streams must be served correctly before timing (this also
+    // warms wrapper caches and the reactor's accept path).
     assert_eq!(keepalive_stream(&http_bodies), http_bodies.len());
-    assert_eq!(blocking_stream(&http_bodies), http_bodies.len());
-    let (mut t_keepalive, mut t_blocking) = (f64::INFINITY, f64::INFINITY);
+    assert_eq!(reconnect_stream(&http_bodies), http_bodies.len());
+    let (mut t_keepalive, mut t_reconnect) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..passes.max(3) {
         let t = Instant::now();
         black_box(keepalive_stream(&http_bodies));
         t_keepalive = t_keepalive.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        black_box(blocking_stream(&http_bodies));
-        t_blocking = t_blocking.min(t.elapsed().as_secs_f64());
+        black_box(reconnect_stream(&http_bodies));
+        t_reconnect = t_reconnect.min(t.elapsed().as_secs_f64());
     }
     let service_rps = http_bodies.len() as f64 / t_keepalive;
-    let blocking_rps = http_bodies.len() as f64 / t_blocking;
-    let keepalive_vs_blocking = t_blocking / t_keepalive;
+    let reconnect_rps = http_bodies.len() as f64 / t_reconnect;
+    let keepalive_vs_reconnect = t_reconnect / t_keepalive;
     // Full-request wall-time percentiles, recorded by the reactor for
     // every request of every keep-alive pass (report-only).
     let latency = reactor_service.latency().snapshot();
     reactor.shutdown();
-    blocking.shutdown();
+    reconnect.shutdown();
 
     // Self-healing recovery: a deployed wrapper defeated by breaking
     // template churn. Measured synchronously: requests of drifted
@@ -968,13 +967,13 @@ fn main() {
         service_health_ratio,
     );
     println!(
-        "HTTP serving: keep-alive reactor {:.3} ms ({:.0} rps) vs \
-         connection-per-request blocking {:.3} ms ({:.0} rps) → {:.2}x",
+        "HTTP serving (reactor): keep-alive {:.3} ms ({:.0} rps) vs \
+         connection-per-request {:.3} ms ({:.0} rps) → {:.2}x",
         t_keepalive * ms,
         service_rps,
-        t_blocking * ms,
-        blocking_rps,
-        keepalive_vs_blocking,
+        t_reconnect * ms,
+        reconnect_rps,
+        keepalive_vs_reconnect,
     );
     println!(
         "request latency (reactor, {} samples): p50 {} µs, p90 {} µs, p99 {} µs, max {} µs",
@@ -1058,7 +1057,7 @@ fn main() {
                 ("service_stream_parse", num(t_service_parse * ms)),
                 ("service_stream_evaluate", num(t_service_evaluate * ms)),
                 ("http_keepalive_stream", num(t_keepalive * ms)),
-                ("http_blocking_stream", num(t_blocking * ms)),
+                ("http_reconnect_stream", num(t_reconnect * ms)),
                 (
                     "sharded_parallel",
                     Value::Object(
@@ -1098,10 +1097,13 @@ fn main() {
                 // HTTP stream through the reactor, over real sockets
                 // (gated like the ratios; see the baseline file).
                 ("service_throughput", num(service_rps)),
-                // Keep-alive reactor over connection-per-request
-                // blocking throughput — gated: connection reuse must
-                // keep paying at the socket layer.
-                ("service_keepalive_vs_blocking", num(keepalive_vs_blocking)),
+                // Keep-alive over connection-per-request throughput,
+                // both through the reactor — gated: connection reuse
+                // must keep paying at the socket layer.
+                (
+                    "service_keepalive_vs_reconnect",
+                    num(keepalive_vs_reconnect),
+                ),
                 // Reactor-measured p99 full-request wall time in µs —
                 // report-only (the gate reads only the metrics the
                 // baseline's min_speedup object names).
@@ -1146,9 +1148,9 @@ fn main() {
                 // Keep-alive HTTP stream through the reactor (the
                 // number `service_throughput` gates on).
                 ("requests_per_sec", num(service_rps)),
-                // Connection-per-request stream through the blocking
-                // loop, same requests over real sockets.
-                ("requests_per_sec_blocking", num(blocking_rps)),
+                // Connection-per-request stream through the reactor,
+                // same requests over real sockets.
+                ("requests_per_sec_reconnect", num(reconnect_rps)),
                 // The raw ExtractionService loop with no socket at all.
                 ("requests_per_sec_inprocess", num(inprocess_rps)),
                 (

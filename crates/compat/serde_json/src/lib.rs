@@ -1,8 +1,10 @@
 //! Offline stand-in for `serde_json`: pretty-prints the `serde`
 //! stand-in's [`Value`] tree with the same spacing conventions as
 //! upstream (`"key": value`, two-space indent), and parses JSON text
-//! back into [`Value`] (used by the benchmark gate to read committed
-//! baselines).
+//! back into [`Value`]. The parser is on the serving request path (every
+//! `POST /extract` body and uploaded JSON bundle goes through it), so it
+//! treats its input as hostile: malformed, truncated or over-nested text
+//! is a typed [`Error`], never a panic or a stack overflow.
 
 use serde::{Serialize, Value};
 use std::fmt;
@@ -64,16 +66,23 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     Ok(out)
 }
 
+/// Deepest array/object nesting [`from_str`] accepts — upstream
+/// serde_json's default recursion limit. The parser recurses once per
+/// level, so without a cap a request body of `[[[[…` overflows the
+/// stack and aborts the process.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a [`Value`] tree.
 ///
 /// Supports the full JSON grammar (objects, arrays, strings with
 /// escapes, numbers, booleans, null); numbers land in `Value::Number`'s
 /// `f64` like everything else in the stand-in. Trailing non-whitespace
-/// is an error.
+/// is an error, and so is nesting deeper than [`MAX_DEPTH`].
 pub fn from_str(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -87,6 +96,8 @@ pub fn from_str(s: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -127,8 +138,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -136,6 +147,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(Error(format!("unexpected input at byte {}", self.pos))),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, Error> {
@@ -411,6 +437,29 @@ mod tests {
         assert!(from_str("\"unterminated").is_err());
         assert!(from_str("{\"k\" 1}").is_err());
         assert!(from_str("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str(&nest(MAX_DEPTH)).is_ok());
+        let err = from_str(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(from_str(&objects).is_err());
+        // Far past the cap, on a thread with the default 2 MiB stack
+        // (the server's request threads): a typed error, not a stack
+        // overflow that aborts the process.
+        let verdict = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let deep = "[".repeat(100_000);
+                from_str(&deep).map(|_| ()).map_err(|e| e.to_string())
+            })
+            .expect("spawn")
+            .join()
+            .expect("parser thread survived");
+        assert!(verdict.unwrap_err().contains("recursion limit"));
     }
 
     #[test]

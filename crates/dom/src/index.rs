@@ -18,10 +18,25 @@
 
 use crate::arena::{Document, NodeId, NodeKind};
 use crate::interner::{intern, Sym};
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
+use std::sync::OnceLock;
+
+/// The SipHash key of every structural fingerprint — whole-page,
+/// per-record subtree and frame. Fingerprints decide which recorded
+/// template trace a page replays, and those traces are shared across
+/// requests and clients, so the hash must not be open to offline
+/// collision search: the key is drawn once per process from OS entropy
+/// ([`RandomState`]). Fingerprints are never persisted or compared
+/// across processes. Hashers are built from it once per pass, at the
+/// same per-node cost as an unkeyed `DefaultHasher` (SipHash-1-3 either
+/// way).
+fn fingerprint_keys() -> &'static RandomState {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    KEYS.get_or_init(RandomState::new)
+}
 
 /// One repeated record subtree inside a [`RecordLayout`], as a half-open
 /// pre-order rank span plus its position-independent skeleton hash.
@@ -59,7 +74,7 @@ pub struct RecordLayout {
     /// that differ only in how many records they carry — and in which
     /// record variants — share this fingerprint while their whole-page
     /// [`DocIndex::template_fingerprint`]s differ. Probabilistic like
-    /// the whole-page fingerprint (unkeyed 64-bit hash).
+    /// the whole-page fingerprint (keyed 64-bit hash).
     pub frame_fingerprint: u64,
 }
 
@@ -364,7 +379,7 @@ impl DocIndex {
     /// synthetic root, rest = comments), so no `Document` is needed.
     fn compute_fingerprint(&self) -> u64 {
         let n = self.by_rank.len();
-        let mut h = DefaultHasher::new();
+        let mut h = fingerprint_keys().build_hasher();
         (n as u64).hash(&mut h);
         // `text_postings` ascends in rank, so one peeking cursor
         // classifies text nodes as the rank loop advances.
@@ -420,6 +435,7 @@ impl DocIndex {
         // stack so one ascending pass suffices; deliberately excludes
         // ranks and spans, so equal-looking subtrees hash equal anywhere
         // on any page.
+        let keys = fingerprint_keys();
         let mut sub = vec![0u64; n];
         let mut open: Vec<(u32, DefaultHasher)> = Vec::new();
         let close = |open: &mut Vec<(u32, DefaultHasher)>, sub: &mut Vec<u64>, upto: u32| {
@@ -438,7 +454,7 @@ impl DocIndex {
         let mut texts = self.text_postings.iter().peekable();
         for r in 0..n as u32 {
             close(&mut open, &mut sub, r);
-            let mut h = DefaultHasher::new();
+            let mut h = keys.build_hasher();
             self.hash_node_kind(r, &mut texts, &mut h);
             open.push((r, h));
         }
@@ -541,7 +557,7 @@ impl DocIndex {
         // run excised and every rank/span ≥ `run_end` collapsed down by
         // the run length, plus the anchors (parent, run_start) that tell
         // a matching page *where* its own records slot back in.
-        let mut h = DefaultHasher::new();
+        let mut h = keys.build_hasher();
         u64::from(n as u32 - run_len).hash(&mut h);
         parent.hash(&mut h);
         run_start.hash(&mut h);
@@ -693,13 +709,16 @@ impl DocIndex {
     /// engine replay one page's bare traversals onto its template
     /// siblings (`aw_xpath::TemplateCache`).
     ///
-    /// The converse is probabilistic, not exact: this is an unkeyed
-    /// 64-bit hash, so two *different* skeletons can collide (≈ 2⁻⁶⁴
-    /// per pair; birthday-bounded across a corpus) and equality is not
-    /// verified structurally — consumers that would be corrupted by a
-    /// collision rather than merely slowed must compare skeletons
-    /// themselves. Only valid for comparisons within one process (tag
-    /// symbols are interner-assigned).
+    /// The converse is probabilistic, not exact: this is a 64-bit hash,
+    /// so two *different* skeletons can collide (≈ 2⁻⁶⁴ per pair;
+    /// birthday-bounded across a corpus) and equality is not verified
+    /// structurally — consumers that would be corrupted by a collision
+    /// rather than merely slowed must compare skeletons themselves. The
+    /// hash is keyed with a per-process secret drawn from OS entropy,
+    /// so a page author cannot search offline for a skeleton that
+    /// collides with another site's template. Only valid for comparisons
+    /// within one process (the key and the tag symbols are both
+    /// per-process).
     pub fn template_fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| self.compute_fingerprint())
     }
@@ -727,7 +746,7 @@ impl DocIndex {
     /// record skeletons do — which is what lets the template cache
     /// replay a page frame and stitch record traces per matching record
     /// (`aw_xpath::TemplateCache`). Like the whole-page fingerprint,
-    /// equality is probabilistic (unkeyed 64-bit hashes).
+    /// equality is probabilistic (keyed 64-bit hashes).
     pub fn record_layout(&self) -> Option<&RecordLayout> {
         self.record_layout
             .get_or_init(|| self.compute_record_layout())

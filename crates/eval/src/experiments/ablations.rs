@@ -10,9 +10,9 @@
 
 use crate::harness::{evaluate, learn_model, split_half, Method};
 use crate::metrics::{macro_average, prf1, PrF1};
-use crate::parallel::executor;
 use aw_core::{learn_with_feature_based, NtwConfig, WrapperLanguage};
 use aw_induct::{LrInductor, NodeSet};
+use aw_pool::Executor;
 use aw_rank::{AnnotatorModel, KernelOverride, RankingModel};
 use aw_sitegen::GeneratedSite;
 use serde::Serialize;
@@ -58,7 +58,7 @@ where
     let rows = caps
         .iter()
         .map(|&cap| {
-            let scored: Vec<(PrF1, usize)> = executor().map(&test, |gs| {
+            let scored: Vec<(PrF1, usize)> = Executor::global().map(&test, |gs| {
                 let labels = labels_of(gs);
                 if labels.is_empty() {
                     return (PrF1::ZERO, 0);
@@ -106,7 +106,7 @@ where
                 max_enumeration_labels: cap,
                 ..Default::default()
             };
-            let scored: Vec<(PrF1, usize)> = executor().map(&test, |gs| {
+            let scored: Vec<(PrF1, usize)> = Executor::global().map(&test, |gs| {
                 let labels = labels_of(gs);
                 if labels.is_empty() {
                     return (PrF1::ZERO, 0);

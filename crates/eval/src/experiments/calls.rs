@@ -1,10 +1,10 @@
 //! Figures 2(a) and 2(b): number of inductor calls made by TopDown,
 //! BottomUp and Naive enumeration, per website.
 
-use crate::parallel::executor;
 use aw_core::WrapperLanguage;
 use aw_enum::{bottom_up, naive_call_count, top_down};
 use aw_induct::{LrInductor, NodeSet, XPathInductor};
+use aw_pool::Executor;
 use aw_sitegen::GeneratedSite;
 use serde::Serialize;
 
@@ -44,7 +44,7 @@ pub fn run<F>(sites: &[GeneratedSite], labels_of: F, language: WrapperLanguage) 
 where
     F: Fn(&GeneratedSite) -> NodeSet + Sync,
 {
-    let mut rows: Vec<CallsRow> = executor()
+    let mut rows: Vec<CallsRow> = Executor::global()
         .map(sites, |gs| {
             let labels = cap_labels(labels_of(gs), LABEL_CAP);
             if labels.is_empty() {

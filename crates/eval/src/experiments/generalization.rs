@@ -7,10 +7,10 @@
 //! first `train_pages`, extraction quality is measured only on the rest.
 
 use crate::metrics::{macro_average, prf1, PrF1};
-use crate::parallel::executor;
 use aw_core::{Engine, WrapperLanguage};
 use aw_dom::PageNode;
 use aw_induct::{NodeSet, Site};
+use aw_pool::Executor;
 use aw_rank::RankingModel;
 use aw_sitegen::GeneratedSite;
 use serde::Serialize;
@@ -43,7 +43,7 @@ where
     F: Fn(&GeneratedSite) -> NodeSet + Sync,
 {
     let engine = Engine::builder(model.clone()).language(language).build();
-    let scores: Vec<(PrF1, PrF1)> = executor()
+    let scores: Vec<(PrF1, PrF1)> = Executor::global()
         .map(sites, |gs| {
             let total_pages = gs.site.page_count();
             if total_pages <= train_pages {

@@ -3,10 +3,10 @@
 
 use crate::harness::{learn_annotator, learn_model, split_half, Method};
 use crate::metrics::{macro_average, prf1, PrF1};
-use crate::parallel::executor;
 use aw_annotate::{annotate_zipcodes, DictionaryAnnotator};
 use aw_core::{assemble_records, learn_multi_type, Engine, MultiTypeModel, NtwConfig};
 use aw_induct::{NodeSet, Site, WrapperInductor, XPathInductor};
+use aw_pool::Executor;
 use aw_sitegen::{DealersDataset, GeneratedSite};
 use serde::Serialize;
 
@@ -54,7 +54,7 @@ pub fn run(ds: &DealersDataset) -> MultiTypeResult {
     };
 
     // NTW multi-type.
-    let ntw_scores: Vec<(PrF1, PrF1, PrF1)> = executor().map(&test, |gs| {
+    let ntw_scores: Vec<(PrF1, PrF1, PrF1)> = Executor::global().map(&test, |gs| {
         let labels = [name_labels(gs), zip_labels(gs)];
         let out = learn_multi_type(&gs.site, &labels, &mt_model, &NtwConfig::default());
         match out.best() {
@@ -64,7 +64,7 @@ pub fn run(ds: &DealersDataset) -> MultiTypeResult {
     });
 
     // NAIVE multi-type: φ on all labels per type, then assembly.
-    let naive_scores: Vec<(PrF1, PrF1, PrF1)> = executor().map(&test, |gs| {
+    let naive_scores: Vec<(PrF1, PrF1, PrF1)> = Executor::global().map(&test, |gs| {
         let inductor = XPathInductor::new(&gs.site);
         let x0 = inductor.extract(&name_labels(gs));
         let x1 = inductor.extract(&zip_labels(gs));
@@ -73,7 +73,7 @@ pub fn run(ds: &DealersDataset) -> MultiTypeResult {
 
     // Single-type baselines (Figure 3b), each through its own Engine.
     let name_engine = Engine::builder(name_model.clone()).build();
-    let single_names = macro_average(&executor().map(&test, |gs| {
+    let single_names = macro_average(&Executor::global().map(&test, |gs| {
         let extraction = name_engine
             .learn(&gs.site, &name_labels(gs))
             .ok()
@@ -83,7 +83,7 @@ pub fn run(ds: &DealersDataset) -> MultiTypeResult {
     }));
     let zip_model = learn_model_for_zips(&train, zip_labels);
     let zip_engine = Engine::builder(zip_model).build();
-    let single_zips = macro_average(&executor().map(&test, |gs| {
+    let single_zips = macro_average(&Executor::global().map(&test, |gs| {
         let extraction = zip_engine
             .learn(&gs.site, &zip_labels(gs))
             .ok()

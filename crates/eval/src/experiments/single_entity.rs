@@ -6,10 +6,10 @@
 //! paper reports that this learns a correct wrapper on every website, with
 //! occasional ties between multiple correct title locations.
 
-use crate::parallel::executor;
 use aw_annotate::{DictionaryAnnotator, MatchMode};
 use aw_core::{learn_single_entity, NtwConfig};
 use aw_induct::NodeSet;
+use aw_pool::Executor;
 use aw_sitegen::DiscDataset;
 use serde::Serialize;
 
@@ -39,7 +39,7 @@ pub struct SingleEntityResult {
 /// Runs the experiment on a DISC dataset.
 pub fn run(ds: &DiscDataset) -> SingleEntityResult {
     let annotator = DictionaryAnnotator::new(ds.title_dictionary.iter(), MatchMode::Exact);
-    let rows: Vec<SingleEntityRow> = executor().map(&ds.sites, |gs| {
+    let rows: Vec<SingleEntityRow> = Executor::global().map(&ds.sites, |gs| {
         let labels: NodeSet = annotator.annotate(&gs.site);
         let out = learn_single_entity(&gs.site, &labels, &NtwConfig::default());
         let title_gold = &gs.gold_types[aw_sitegen::disc::TYPE_TITLE];

@@ -3,9 +3,9 @@
 //! of §7.4 on DEALERS with XPATH wrappers.
 
 use crate::harness::{evaluate, learn_model, split_half, Method};
-use crate::parallel::executor;
 use aw_annotate::SyntheticAnnotator;
 use aw_core::WrapperLanguage;
+use aw_pool::Executor;
 use aw_sitegen::GeneratedSite;
 use serde::Serialize;
 
@@ -55,7 +55,7 @@ pub fn run(sites: &[GeneratedSite], seed: u64) -> Table1Result {
         .flat_map(|&p| RECALLS.iter().map(move |&r| (p, r)))
         .collect();
 
-    let cells = executor().map(&grid, |&(p, r)| {
+    let cells = Executor::global().map(&grid, |&(p, r)| {
         let annotator = SyntheticAnnotator::for_target(
             p,
             r,

@@ -1,9 +1,9 @@
 //! Figure 2(c): wall-clock running time of TopDown vs BottomUp
 //! enumeration for XPATH wrappers, per website.
 
-use crate::parallel::executor;
 use aw_enum::{bottom_up, top_down};
 use aw_induct::{NodeSet, XPathInductor};
+use aw_pool::Executor;
 use aw_sitegen::GeneratedSite;
 use serde::Serialize;
 use std::time::Instant;
@@ -33,7 +33,7 @@ pub fn run<F>(sites: &[GeneratedSite], labels_of: F) -> TimingResult
 where
     F: Fn(&GeneratedSite) -> NodeSet + Sync,
 {
-    let mut rows: Vec<TimingRow> = executor()
+    let mut rows: Vec<TimingRow> = Executor::global()
         .map(sites, |gs| {
             let labels = super::calls::cap_labels_pub(labels_of(gs), super::calls::LABEL_CAP);
             if labels.is_empty() {

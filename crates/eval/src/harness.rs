@@ -6,9 +6,9 @@
 //! even-indexed half and evaluate on the odd-indexed half.
 
 use crate::metrics::{macro_average, prf1, PrF1};
-use crate::parallel::executor;
 use aw_core::{Engine, NtwConfig, WrapperLanguage};
 use aw_induct::NodeSet;
+use aw_pool::Executor;
 use aw_rank::{
     estimate_from_counts, list_features, segment_site, AnnotatorModel, ListFeatures,
     PublicationModel, RankingMode, RankingModel,
@@ -154,7 +154,7 @@ where
         .language(language)
         .config(config)
         .build();
-    let per_site = executor().map(test, |site| {
+    let per_site = Executor::global().map(test, |site| {
         let labels = labels_of(site);
         let extraction = match method {
             Method::Naive => engine

@@ -460,11 +460,6 @@ impl<'s> WrapperSpace<'s> {
     pub fn wrappers(&self) -> &[EnumeratedWrapper<PageNode>] {
         &self.result.wrappers
     }
-
-    /// The underlying enumeration result.
-    pub fn into_result(self) -> EnumerationResult<PageNode> {
-        self.result
-    }
 }
 
 /// The ranked wrapper space of one site — the *rank* stage's output,
@@ -527,16 +522,6 @@ impl<'s> RankedWrappers<'s> {
     /// Distinct wrappers enumerated (`k`).
     pub fn wrapper_space_size(&self) -> usize {
         self.outcome.wrapper_space_size
-    }
-
-    /// The legacy outcome view (shared with the deprecated facades).
-    pub fn outcome(&self) -> &NtwOutcome {
-        &self.outcome
-    }
-
-    /// Converts into the legacy [`NtwOutcome`].
-    pub fn into_outcome(self) -> NtwOutcome {
-        self.outcome
     }
 
     /// Portable rules for **all** ranked wrappers, compiled as a batched
@@ -695,28 +680,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn facades_delegate_without_behaviour_change() {
-        let site = dealer_site();
-        let labels = noisy_labels(&site);
-        let m = model();
-        let config = NtwConfig::default();
-        let engine = Engine::builder(m.clone()).config(config.clone()).build();
-        let via_engine = engine.learn(&site, &labels).unwrap();
-        let via_facade = crate::learner::learn(&site, WrapperLanguage::XPath, &labels, &m, &config);
-        assert_eq!(via_facade.ranked.len(), via_engine.len());
-        for (a, b) in via_facade.ranked.iter().zip(via_engine.iter()) {
-            assert_eq!(a.extraction, b.extraction);
-            assert_eq!(a.rule, b.rule);
-            assert!((a.score.total - b.score.total).abs() < 1e-12);
-        }
-        let naive_facade = crate::learner::naive_wrapper(&site, WrapperLanguage::XPath, &labels);
-        let naive_engine = engine.naive(&site, &labels).unwrap();
-        assert_eq!(naive_facade.extraction, naive_engine.extraction);
-        assert_eq!(naive_facade.rule, naive_engine.rule);
-    }
-
-    #[test]
     fn learn_sites_matches_per_site_learn() {
         let sites = [dealer_site(), dealer_site()];
         let labels: Vec<NodeSet> = sites.iter().map(noisy_labels).collect();
@@ -857,9 +820,5 @@ mod tests {
         let totals: Vec<f64> = ranked.iter().map(|w| w.score.total).collect();
         assert!(totals.windows(2).all(|w| w[0] >= w[1]));
         assert_eq!(ranked.iter().count(), ranked.len());
-        assert_eq!(
-            ranked.outcome().wrapper_space_size,
-            ranked.wrapper_space_size()
-        );
     }
 }

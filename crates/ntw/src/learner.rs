@@ -6,14 +6,11 @@
 //!    `log P(L | X) + log P(X)` (crate `aw-rank`) and rank.
 //!
 //! The public entry point is [`crate::Engine`] (`engine.learn`,
-//! `engine.naive`); the free functions [`learn`] and [`naive_wrapper`]
-//! survive as deprecated facades over it. The generic
-//! [`learn_with_feature_based`] / [`learn_with_blackbox`] remain the
-//! extension points for custom inductors outside the four built-in
-//! languages.
+//! `engine.naive`). The generic [`learn_with_feature_based`] remains
+//! the extension point for custom feature-based inductors outside the
+//! four built-in languages.
 
 use crate::config::{Enumeration, NtwConfig, WrapperLanguage};
-use crate::engine::Engine;
 use aw_dom::PageNode;
 use aw_enum::{bottom_up, naive, top_down, EnumerationResult};
 use aw_induct::{
@@ -51,32 +48,6 @@ impl NtwOutcome {
     pub fn best(&self) -> Option<&LearnedWrapper> {
         self.ranked.first()
     }
-}
-
-/// Learns a wrapper of the given language from noisy labels.
-///
-/// `Hlrt` has no feature-based form here, so `TopDown` silently falls back
-/// to `BottomUp` for it.
-#[deprecated(note = "build an `aw_core::Engine` (via `EngineBuilder`) and call `Engine::learn`")]
-pub fn learn(
-    site: &Site,
-    language: WrapperLanguage,
-    labels: &NodeSet,
-    model: &RankingModel,
-    config: &NtwConfig,
-) -> NtwOutcome {
-    Engine::builder(model.clone())
-        .language(language)
-        .config(config.clone())
-        .build()
-        .learn(site, labels)
-        .map(crate::engine::RankedWrappers::into_outcome)
-        // Pre-Engine behaviour: empty labels gave an empty outcome.
-        .unwrap_or_else(|_| NtwOutcome {
-            ranked: Vec::new(),
-            inductor_calls: 0,
-            wrapper_space_size: 0,
-        })
 }
 
 /// Enumerates the wrapper space for one of the built-in languages
@@ -149,31 +120,8 @@ where
     rank_space(space, site, labels, &model.with_mode(config.mode))
 }
 
-/// Learner over a blackbox inductor (BottomUp/Naive only; TopDown falls
-/// back to BottomUp).
-pub fn learn_with_blackbox<I>(
-    inductor: &I,
-    site: &Site,
-    labels: &NodeSet,
-    model: &RankingModel,
-    config: &NtwConfig,
-) -> NtwOutcome
-where
-    I: WrapperInductor<Item = PageNode>,
-{
-    let seed_labels = subsample(labels, config.max_enumeration_labels);
-    let space = enumerate_blackbox(inductor, &seed_labels, config);
-    rank_space(space, site, labels, &model.with_mode(config.mode))
-}
-
-/// The NAIVE baseline of §7.2: run the inductor directly on all labels.
-#[deprecated(note = "build an `aw_core::Engine` (via `EngineBuilder`) and call `Engine::naive`")]
-pub fn naive_wrapper(site: &Site, language: WrapperLanguage, labels: &NodeSet) -> LearnedWrapper {
-    naive_impl(site, language, labels)
-}
-
-/// Shared implementation of the NAIVE baseline ([`Engine::naive`] and the
-/// deprecated [`naive_wrapper`] facade).
+/// The NAIVE baseline of §7.2, behind [`crate::Engine::naive`]: run the
+/// inductor directly on all labels.
 pub(crate) fn naive_impl(
     site: &Site,
     language: WrapperLanguage,
@@ -266,12 +214,10 @@ pub(crate) fn subsample(labels: &NodeSet, cap: usize) -> ItemSet<PageNode> {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated facades must keep their exact pre-Engine behaviour;
-    // these tests exercise the pipeline *through* them (Engine-native
-    // coverage lives in `crate::engine::tests`).
-    #![allow(deprecated)]
-
+    // The learner's behaviour, driven through its public entry point.
     use super::*;
+    use crate::engine::{Engine, RankedWrappers};
+    use crate::error::AwError;
     use aw_rank::{AnnotatorModel, ListFeatures, PublicationModel, RankingMode};
 
     /// Dealer-style site: 3 pages, names in <u>, plus footer noise.
@@ -323,6 +269,21 @@ mod tests {
         RankingModel::new(AnnotatorModel::new(0.93, 0.5), publication)
     }
 
+    fn learn<'s>(
+        site: &'s Site,
+        language: WrapperLanguage,
+        labels: &NodeSet,
+        model: &RankingModel,
+        config: &NtwConfig,
+    ) -> RankedWrappers<'s> {
+        Engine::builder(model.clone())
+            .language(language)
+            .config(config.clone())
+            .build()
+            .learn(site, labels)
+            .expect("labels are non-empty")
+    }
+
     /// Noisy labels: half the names plus one address (false positive).
     fn noisy_labels(site: &Site) -> NodeSet {
         let g: Vec<PageNode> = gold(site).into_iter().collect();
@@ -345,14 +306,17 @@ mod tests {
         );
         let best = out.best().expect("candidates");
         assert_eq!(best.extraction, gold(&site), "best rule: {}", best.rule);
-        assert!(out.wrapper_space_size >= 3);
+        assert!(out.wrapper_space_size() >= 3);
     }
 
     #[test]
     fn naive_overgeneralizes_on_same_input() {
         let site = dealer_site();
         let labels = noisy_labels(&site);
-        let naive = naive_wrapper(&site, WrapperLanguage::XPath, &labels);
+        let naive = Engine::builder(model())
+            .build()
+            .naive(&site, &labels)
+            .unwrap();
         // NAIVE must cover all labels (fidelity) and therefore spill past
         // the gold set.
         assert!(labels.is_subset(&naive.extraction));
@@ -379,7 +343,7 @@ mod tests {
             &NtwConfig::with_enumeration(Enumeration::BottomUp),
         );
         assert_eq!(td.best().unwrap().extraction, bu.best().unwrap().extraction);
-        assert!(td.inductor_calls <= bu.inductor_calls);
+        assert!(td.inductor_calls() <= bu.inductor_calls());
     }
 
     #[test]
@@ -409,7 +373,7 @@ mod tests {
             &NtwConfig::default(),
         );
         assert!(out.best().is_some());
-        assert!(out.inductor_calls > 0);
+        assert!(out.inductor_calls() > 0);
     }
 
     #[test]
@@ -452,16 +416,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_labels_give_empty_outcome() {
+    fn empty_labels_are_a_typed_error() {
         let site = dealer_site();
-        let out = learn(
-            &site,
-            WrapperLanguage::XPath,
-            &NodeSet::new(),
-            &model(),
-            &NtwConfig::default(),
+        let engine = Engine::builder(model()).build();
+        assert_eq!(
+            engine.learn(&site, &NodeSet::new()).unwrap_err(),
+            AwError::NoLabels
         );
-        assert!(out.best().is_none());
-        assert_eq!(out.inductor_calls, 0);
     }
 }

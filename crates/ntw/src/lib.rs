@@ -74,9 +74,8 @@
 //! # Ok::<(), AwError>(())
 //! ```
 //!
-//! The pre-Engine free functions ([`learn`], [`naive_wrapper`]) survive
-//! as deprecated facades; the generic [`learn_with_feature_based`] /
-//! [`learn_with_blackbox`] remain for custom inductors.
+//! Beside the [`Engine`], the generic [`learn_with_feature_based`]
+//! remains for custom feature-based inductors.
 
 pub mod artifact;
 pub mod config;
@@ -101,9 +100,7 @@ pub use engine::{Annotator, Engine, EngineBuilder, RankedWrapper, RankedWrappers
 pub use error::AwError;
 pub use health::{HealthEvent, HealthThresholds, HealthTracker, PageObservation, SiteHealth};
 pub use latency::{LatencyHistogram, LatencySnapshot};
-#[allow(deprecated)]
-pub use learner::{learn, naive_wrapper};
-pub use learner::{learn_with_blackbox, learn_with_feature_based, LearnedWrapper, NtwOutcome};
+pub use learner::{learn_with_feature_based, LearnedWrapper, NtwOutcome};
 pub use multi_type::{
     assemble_records, learn_multi_type, MultiTypeModel, MultiTypeOutcome, MultiTypeWrapper, Record,
 };

@@ -123,12 +123,6 @@ impl LearnedRule {
             .filter_map(|id| doc.text(id).map(str::to_string))
             .collect()
     }
-
-    /// The rule's display form (parsable back for xpath rules).
-    #[deprecated(note = "use the `Display` impl (`to_string` / `{}`) instead")]
-    pub fn display(&self) -> String {
-        self.to_string()
-    }
 }
 
 impl std::fmt::Display for LearnedRule {
@@ -281,12 +275,6 @@ impl LearnedRuleSet {
 }
 
 impl NtwOutcome {
-    /// The portable rule of the top-ranked wrapper.
-    pub fn best_rule(&self, site: &Site, language: WrapperLanguage) -> Option<LearnedRule> {
-        self.best()
-            .map(|w| LearnedRule::learn(site, language, &w.seed))
-    }
-
     /// Portable rules for **all** ranked wrappers, ready for batched
     /// application to unseen pages (best wrapper first). The site's
     /// inductor (feature maps, posting indexes) is built once and reused
@@ -317,12 +305,8 @@ impl NtwOutcome {
 
 #[cfg(test)]
 mod tests {
-    // Exercises the deprecated `learn` facade on purpose (it must stay
-    // behaviourally identical to the Engine it delegates to).
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::{learn, NtwConfig};
+    use crate::{Engine, RankedWrappers};
     use aw_rank::{AnnotatorModel, ListFeatures, PublicationModel, RankingModel};
 
     fn training_site() -> Site {
@@ -362,17 +346,19 @@ mod tests {
         l
     }
 
+    fn learn<'s>(site: &'s Site, language: WrapperLanguage) -> RankedWrappers<'s> {
+        Engine::builder(model())
+            .language(language)
+            .build()
+            .learn(site, &labels(site))
+            .expect("labels are non-empty")
+    }
+
     #[test]
     fn xpath_rule_applies_to_unseen_page() {
         let site = training_site();
-        let out = learn(
-            &site,
-            WrapperLanguage::XPath,
-            &labels(&site),
-            &model(),
-            &NtwConfig::default(),
-        );
-        let rule = out.best_rule(&site, WrapperLanguage::XPath).unwrap();
+        let out = learn(&site, WrapperLanguage::XPath);
+        let rule = out.best().unwrap().portable_rule();
 
         // A freshly "crawled" page from the same script.
         let new_page = aw_dom::parse(
@@ -389,14 +375,8 @@ mod tests {
     #[test]
     fn lr_rule_applies_to_unseen_page() {
         let site = training_site();
-        let out = learn(
-            &site,
-            WrapperLanguage::Lr,
-            &labels(&site),
-            &model(),
-            &NtwConfig::default(),
-        );
-        let rule = out.best_rule(&site, WrapperLanguage::Lr).unwrap();
+        let out = learn(&site, WrapperLanguage::Lr);
+        let rule = out.best().unwrap().portable_rule();
         let new_page = aw_dom::parse(
             "<table class='stores'><tr><td><b>OMEGA GROUP</b></td><td>9 Elm</td></tr></table>",
         );
@@ -429,15 +409,9 @@ mod tests {
         // Applying the portable rule back to the training pages must
         // reproduce the wrapper's own extraction.
         let site = training_site();
-        let out = learn(
-            &site,
-            WrapperLanguage::XPath,
-            &labels(&site),
-            &model(),
-            &NtwConfig::default(),
-        );
+        let out = learn(&site, WrapperLanguage::XPath);
         let best = out.best().unwrap();
-        let rule = out.best_rule(&site, WrapperLanguage::XPath).unwrap();
+        let rule = best.portable_rule();
         let mut replayed = NodeSet::new();
         for p in 0..site.page_count() as u32 {
             replayed.extend(
@@ -452,16 +426,9 @@ mod tests {
     #[test]
     fn rule_set_batches_xpaths_and_matches_individual_apply() {
         let site = training_site();
-        let seed = labels(&site);
-        let out = learn(
-            &site,
-            WrapperLanguage::XPath,
-            &seed,
-            &model(),
-            &NtwConfig::default(),
-        );
-        let set = out.rule_set(&site, WrapperLanguage::XPath);
-        assert_eq!(set.rules().len(), out.ranked.len());
+        let out = learn(&site, WrapperLanguage::XPath);
+        let set = out.rule_set();
+        assert_eq!(set.rules().len(), out.len());
         let new_page = aw_dom::parse(
             "<table class='stores'><tr><td><b>OMEGA GROUP</b></td><td>9 Elm</td></tr>\
              <tr><td><b>SIGMA BROS</b></td><td>7 Oak</td></tr></table>",

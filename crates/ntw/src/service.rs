@@ -486,22 +486,13 @@ impl WrapperRegistry {
     }
 }
 
-/// A point-in-time report of the service's request-path parsing — the
-/// payload behind the HTTP front end's `GET /wrappers` `"parse"` object.
-///
-/// `stream` counts pages that went through the one-pass
-/// [`aw_dom::parse_indexed`] path; `fallback` counts pages parsed by the
-/// classic parse-then-index oracle (`AW_STREAM_PARSE=0` or
-/// [`ExtractionService::with_stream_parse`]`(false)`). The two paths are
-/// byte-identical in output, so the split is purely observability.
+/// A point-in-time report of the service's request-path parsing (the
+/// one-pass [`aw_dom::parse_indexed`]) — the payload behind the HTTP
+/// front end's `GET /wrappers` `"parse"` object.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ParseStats {
     /// Pages parsed on the request path (parse failures included).
     pub pages: u64,
-    /// Pages parsed by the streaming one-pass indexer.
-    pub stream: u64,
-    /// Pages parsed by the classic parse-then-index fallback.
-    pub fallback: u64,
     /// Cumulative wall time spent parsing + indexing, in microseconds.
     pub micros: u64,
 }
@@ -511,27 +502,18 @@ pub struct ParseStats {
 #[derive(Debug, Default)]
 struct ParseCounters {
     pages: AtomicU64,
-    stream: AtomicU64,
-    fallback: AtomicU64,
     micros: AtomicU64,
 }
 
 impl ParseCounters {
-    fn observe(&self, streamed: bool, micros: u64) {
+    fn observe(&self, micros: u64) {
         self.pages.fetch_add(1, Ordering::Relaxed);
-        if streamed {
-            self.stream.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.fallback.fetch_add(1, Ordering::Relaxed);
-        }
         self.micros.fetch_add(micros, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> ParseStats {
         ParseStats {
             pages: self.pages.load(Ordering::Relaxed),
-            stream: self.stream.load(Ordering::Relaxed),
-            fallback: self.fallback.load(Ordering::Relaxed),
             micros: self.micros.load(Ordering::Relaxed),
         }
     }
@@ -597,20 +579,13 @@ pub struct ExtractionService {
     health_enabled: bool,
     relearn: Option<Arc<RelearnController>>,
     latency: LatencyHistogram,
-    /// Route request pages through the one-pass streaming indexer
-    /// (default) or the classic parse-then-index oracle.
-    stream_parse: bool,
     parse_counters: ParseCounters,
 }
 
 impl ExtractionService {
     /// A service over `registry`, evaluating on [`Executor::global`],
-    /// with health tracking on at default thresholds. Request pages go
-    /// through the one-pass streaming parser unless the process was
-    /// started with `AW_STREAM_PARSE=0` (the differential-oracle
-    /// escape hatch, like `reference` vs compiled xpath engines).
+    /// with health tracking on at default thresholds.
     pub fn new(registry: Arc<WrapperRegistry>) -> ExtractionService {
-        let stream_parse = std::env::var("AW_STREAM_PARSE").map_or(true, |v| v != "0");
         ExtractionService {
             registry,
             executor: Executor::global().clone(),
@@ -618,7 +593,6 @@ impl ExtractionService {
             health_enabled: true,
             relearn: None,
             latency: LatencyHistogram::new(),
-            stream_parse,
             parse_counters: ParseCounters::default(),
         }
     }
@@ -650,22 +624,6 @@ impl ExtractionService {
     pub fn with_relearn(mut self, relearn: Arc<RelearnController>) -> ExtractionService {
         self.relearn = Some(relearn);
         self
-    }
-
-    /// Selects the request-path parser: `true` (default) streams pages
-    /// through [`aw_dom::parse_indexed`]; `false` falls back to the
-    /// classic parse-then-index path. Responses are byte-identical
-    /// either way — the toggle exists for differential testing and as
-    /// an operational escape hatch (`AW_STREAM_PARSE=0` sets the
-    /// default at construction).
-    pub fn with_stream_parse(mut self, enabled: bool) -> ExtractionService {
-        self.stream_parse = enabled;
-        self
-    }
-
-    /// True when request pages go through the streaming one-pass parser.
-    pub fn stream_parse_enabled(&self) -> bool {
-        self.stream_parse
     }
 
     /// A snapshot of the request-path parse counters.
@@ -730,25 +688,16 @@ impl ExtractionService {
             .registry
             .get_or_fault(&request.site)?
             .ok_or_else(|| AwError::UnknownSite(request.site.clone()))?;
-        // One parse + one DocIndex per page; page-parallel for multi-page
-        // requests (nested maps join the shared worker team). The default
-        // path is the one-pass streaming indexer; `AW_STREAM_PARSE=0` /
-        // `with_stream_parse(false)` fall back to the byte-identical
-        // parse-then-index oracle. Parsing is infallible by design, but a
-        // serving loop must not let one hostile page take down a whole
-        // batch — so each page is unwind-guarded and gated on producing
-        // at least one node.
-        let stream = self.stream_parse;
+        // One parse + one DocIndex per page, built in a single pass by
+        // the streaming indexer; page-parallel for multi-page requests
+        // (nested maps join the shared worker team). Parsing is
+        // infallible by design, but a serving loop must not let one
+        // hostile page take down a whole batch — so each page is
+        // unwind-guarded and gated on producing at least one node.
         let parsed: Vec<Result<Document, String>> = self.executor.map(&request.pages, |html| {
             let started = Instant::now();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if stream {
-                    aw_dom::parse_indexed(html).into_document()
-                } else {
-                    let doc = aw_dom::parse(html);
-                    doc.index();
-                    doc
-                }
+                aw_dom::parse_indexed(html).into_document()
             }))
             .map_err(|_| "page parser panicked".to_string())
             .and_then(|doc| {
@@ -759,7 +708,7 @@ impl ExtractionService {
                 }
             });
             self.parse_counters
-                .observe(stream, started.elapsed().as_micros() as u64);
+                .observe(started.elapsed().as_micros() as u64);
             result
         });
         let errors: Vec<Option<String>> =
@@ -809,16 +758,6 @@ impl ExtractionService {
             pages,
             errors,
         })
-    }
-
-    /// Serves a batch of requests through the executor; `out[i]` equals
-    /// [`ExtractionService::handle`] on `requests[i]` for every thread
-    /// count.
-    pub fn handle_batch(
-        &self,
-        requests: &[ExtractRequest],
-    ) -> Vec<Result<ExtractResponse, AwError>> {
-        self.executor.map(requests, |request| self.handle(request))
     }
 }
 
@@ -1121,13 +1060,11 @@ mod tests {
     }
 
     #[test]
-    fn stream_and_fallback_parse_paths_answer_identically() {
+    fn parse_stats_count_every_request_page() {
         let registry = Arc::new(WrapperRegistry::new());
         registry.insert("dealers", wrapper(WrapperLanguage::XPath));
-        let streaming = ExtractionService::new(Arc::clone(&registry));
-        let fallback = ExtractionService::new(Arc::clone(&registry)).with_stream_parse(false);
-        assert!(streaming.stream_parse_enabled());
-        assert!(!fallback.stream_parse_enabled());
+        let service = ExtractionService::new(registry);
+        assert_eq!(service.parse_stats(), ParseStats::default());
         let request = ExtractRequest {
             site: "dealers".into(),
             pages: vec![
@@ -1136,37 +1073,9 @@ mod tests {
                 "   ".into(), // unparseable: empty document
             ],
         };
-        let a = streaming.handle(&request).unwrap();
-        let b = fallback.handle(&request).unwrap();
-        assert_eq!(a, b, "parse paths must be byte-identical");
-        let s = streaming.parse_stats();
-        assert_eq!((s.pages, s.stream, s.fallback), (3, 3, 0));
-        let f = fallback.parse_stats();
-        assert_eq!((f.pages, f.stream, f.fallback), (3, 0, 3));
-        assert_eq!(ParseStats::default().pages, 0);
-    }
-
-    #[test]
-    fn handle_batch_matches_sequential_handles() {
-        let registry = Arc::new(WrapperRegistry::new());
-        registry.insert("x", wrapper(WrapperLanguage::XPath));
-        registry.insert("l", wrapper(WrapperLanguage::Lr));
-        let service = ExtractionService::new(Arc::clone(&registry)).with_executor(Executor::new(3));
-        let requests: Vec<ExtractRequest> = (0..12)
-            .map(|i| {
-                let site = if i % 3 == 2 {
-                    "missing"
-                } else if i % 2 == 0 {
-                    "x"
-                } else {
-                    "l"
-                };
-                ExtractRequest::single(site, fresh_html(&format!("NAME {i}")))
-            })
-            .collect();
-        let batched = service.handle_batch(&requests);
-        for (request, got) in requests.iter().zip(batched) {
-            assert_eq!(got, service.handle(request), "site {}", request.site);
-        }
+        let response = service.handle(&request).unwrap();
+        assert_eq!(response.pages[0], vec!["OMEGA".to_string()]);
+        assert!(response.errors[2].is_some());
+        assert_eq!(service.parse_stats().pages, 3);
     }
 }

@@ -34,34 +34,29 @@
 //!
 //! ## Threading model
 //!
-//! [`Server::start`] runs one of two engines over the same protocol
-//! code:
+//! [`Server::start`] runs **`aw-reactor`**: a single event-loop thread
+//! multiplexes every connection over `poll(2)` with HTTP/1.1 keep-alive
+//! and pipelining, per-connection read/idle deadlines, and bounded
+//! accept/inflight queues (overload answers `503` + `Retry-After`,
+//! while `GET /healthz` keeps answering). Parsed requests are handed to
+//! a small team of service workers and completions come back through a
+//! wake pipe. See the `reactor` module docs for the full state machine.
+//! The reactor needs `poll(2)`, so serving is **unix-only**: elsewhere
+//! `Server::start` fails with `io::ErrorKind::Unsupported`, while the
+//! router ([`respond`]) stays portable.
 //!
-//! * **`aw-reactor`** (the default on unix): a single event-loop
-//!   thread multiplexes every connection over `poll(2)` with HTTP/1.1
-//!   keep-alive and pipelining, per-connection read/idle deadlines,
-//!   and bounded accept/inflight queues (overload answers `503` +
-//!   `Retry-After`, while `GET /healthz` keeps answering). Parsed
-//!   requests are handed to a small team of service workers and
-//!   completions come back through a wake pipe. See the `reactor`
-//!   module docs for the full state machine.
-//! * **The blocking loop** (`Server::blocking`, and the only engine
-//!   off unix): a fixed team of connection workers, each running its
-//!   own accept loop on a shared listener, one connection per worker
-//!   from accept to close.
-//!
-//! Both engines share one framing layer (`proto`), so their wire bytes
-//! are identical — asserted by a socket-level differential test. The
-//! extraction work inside a request is *not* done on private pools:
-//! both engines call into one shared [`ExtractionService`], whose
+//! The extraction work inside a request is *not* done on private
+//! pools: the workers call into one shared [`ExtractionService`], whose
 //! [`aw_pool::Executor`] is the process-wide work-stealing team —
 //! page-parallel evaluation from many simultaneous connections
 //! interleaves in one pool instead of oversubscribing the machine. The
 //! per-site template caches live in the registry's wrappers, so
 //! structurally identical pages arriving on different connections still
-//! replay each other's traces. Each engine records per-request wall
-//! time into the service's [`aw_core::LatencyHistogram`], surfaced as
-//! the `latency` object of `GET /wrappers`.
+//! replay each other's traces. Every request's wall time is recorded
+//! into the service's [`aw_core::LatencyHistogram`], surfaced as the
+//! `latency` object of `GET /wrappers`. A socket-level differential
+//! test holds the reactor's wire bytes identical to the framing of
+//! [`respond`]'s answer for every endpoint.
 //!
 //! ```no_run
 //! use aw_core::{ArtifactReader, ExtractionService, WrapperRegistry};
@@ -79,6 +74,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#[cfg(all(test, unix))]
+mod differential;
 mod http;
 mod proto;
 #[cfg(unix)]
@@ -302,19 +299,16 @@ fn list_wrappers(service: &ExtractionService) -> Response {
         ("grace_entries", Value::Number(stats.grace_entries as f64)),
         ("grace_hits", Value::Number(stats.grace_hits as f64)),
     ]);
-    // Request-path parse counters: how many pages were parsed, by which
-    // parse path (streaming one-pass vs classic fallback), and the
+    // Request-path parse counters: how many pages were parsed and the
     // cumulative wall time spent parsing + indexing.
     let parse_stats = service.parse_stats();
     let parse = obj(vec![
         ("pages", Value::Number(parse_stats.pages as f64)),
-        ("stream", Value::Number(parse_stats.stream as f64)),
-        ("fallback", Value::Number(parse_stats.fallback as f64)),
         ("micros", Value::Number(parse_stats.micros as f64)),
     ]);
-    // Request-latency percentiles, recorded by whichever HTTP engine
-    // frames the requests (full wall time: request parsed → response
-    // queued). All-zero until the first served request.
+    // Request-latency percentiles, recorded by the reactor (full wall
+    // time: request parsed → response queued). All-zero until the first
+    // served request.
     let snapshot = service.latency().snapshot();
     let latency = obj(vec![
         ("count", Value::Number(snapshot.count as f64)),
@@ -570,13 +564,11 @@ mod tests {
         // Before any traffic, every parse counter is zero (pinned shape).
         let idle = respond(&service, &request("GET", "/wrappers", ""));
         assert!(
-            idle.body.contains(
-                "\"parse\":{\"pages\":0.0,\"stream\":0.0,\"fallback\":0.0,\"micros\":0.0"
-            ),
+            idle.body
+                .contains("\"parse\":{\"pages\":0.0,\"micros\":0.0}"),
             "{}",
             idle.body
         );
-        // Three pages through the default (streaming) path.
         let page = "<table class='stores'><tr><td><b>OMEGA</b></td><td>9 Elm</td></tr></table>";
         let r = respond(
             &service,
@@ -589,28 +581,7 @@ mod tests {
         assert_eq!(r.status, 200, "{}", r.body);
         let listed = respond(&service, &request("GET", "/wrappers", ""));
         assert!(
-            listed
-                .body
-                .contains("\"parse\":{\"pages\":3.0,\"stream\":3.0,\"fallback\":0.0"),
-            "{}",
-            listed.body
-        );
-        // The fallback path is attributed separately.
-        let fallback = service.with_stream_parse(false);
-        let r = respond(
-            &fallback,
-            &request(
-                "POST",
-                "/extract",
-                &format!(r#"{{"site":"dealers","html":"{page}"}}"#),
-            ),
-        );
-        assert_eq!(r.status, 200, "{}", r.body);
-        let listed = respond(&fallback, &request("GET", "/wrappers", ""));
-        assert!(
-            listed
-                .body
-                .contains("\"parse\":{\"pages\":4.0,\"stream\":3.0,\"fallback\":1.0"),
+            listed.body.contains("\"parse\":{\"pages\":3.0,\"micros\":"),
             "{}",
             listed.body
         );

@@ -1,11 +1,9 @@
-//! Shared HTTP/1.1 framing: one parser and one encoder for both the
-//! event-driven reactor and the legacy blocking loop.
+//! HTTP/1.1 framing: the reactor's head parser and response encoder.
 //!
-//! Both socket layers route through [`parse_head`] and
-//! [`encode_response`], so their wire behavior (error strings, header
-//! order, reason phrases) is byte-identical by construction — the
-//! property the reactor-vs-blocking differential test then asserts over
-//! real sockets.
+//! Both are pure functions of their input, so the differential test
+//! (`crate::differential`) can frame what the router answers and hold
+//! the reactor's wire bytes (error strings, header order, reason
+//! phrases) byte-identical to it over real sockets.
 
 use crate::Response;
 
@@ -55,7 +53,7 @@ fn find_head_end(buf: &[u8], search_from: usize) -> Option<usize> {
 }
 
 /// Parses one request head from the front of `buf`. Pure: no I/O, no
-/// state — both socket layers loop it over their read buffers.
+/// state — the reactor loops it over each connection's read buffer.
 pub(crate) fn parse_head(buf: &[u8], search_from: usize) -> HeadParse {
     let Some(head_end) = find_head_end(buf, search_from) else {
         if buf.len() > MAX_HEAD {
@@ -148,8 +146,8 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Serializes a routed [`Response`] to wire bytes. `retry_after_secs`
-/// adds the overload hint header (the backpressure 503); both loops
-/// emit identical bytes for identical `(response, keep_alive)` inputs.
+/// adds the overload hint header (the backpressure 503). Pure:
+/// identical `(response, keep_alive)` inputs give identical bytes.
 pub(crate) fn encode_response(
     response: &Response,
     keep_alive: bool,

@@ -247,7 +247,7 @@ struct Conn {
     out_pos: usize,
     close_after_flush: bool,
     /// Write side shut, discarding the client's tail so the error
-    /// response survives (mirrors the blocking loop's drain).
+    /// response survives.
     draining: bool,
     drain_deadline: Instant,
     peer_closed: bool,
@@ -305,7 +305,7 @@ impl Conn {
 // The reactor proper.
 
 /// Spawns the reactor thread and its service workers for a configured
-/// [`crate::Server`] (called by `Server::start` in non-blocking mode).
+/// [`crate::Server`] (called by `Server::start`).
 pub(crate) fn start(server: crate::Server) -> std::io::Result<crate::ServerHandle> {
     let crate::Server {
         listener,
@@ -381,7 +381,7 @@ pub(crate) fn start(server: crate::Server) -> std::io::Result<crate::ServerHandl
         addr,
         stop,
         threads,
-        dispatch: Some(dispatch),
+        dispatch,
     })
 }
 
@@ -753,8 +753,7 @@ impl Reactor {
     }
 
     /// The peer's write side closed. Mid-request that is a framing
-    /// error (mirroring the blocking loop's messages); idle it is just
-    /// a closed connection.
+    /// error (400); idle it is just a closed connection.
     fn peer_closed(&mut self, slot: usize) {
         let Some(conn) = self.conn(slot) else { return };
         if conn.draining {
@@ -815,9 +814,8 @@ impl Reactor {
                 conn.closed = true;
                 return;
             }
-            // Mirror the blocking loop: end our side, then discard the
-            // client's remaining upload so the error response is read,
-            // not clobbered by a reset.
+            // End our side, then discard the client's remaining upload
+            // so the error response is read, not clobbered by a reset.
             let _ = conn.stream.shutdown(Shutdown::Write);
             conn.draining = true;
             conn.drain_deadline = Instant::now() + DRAIN_TIMEOUT;

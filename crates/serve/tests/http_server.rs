@@ -1,7 +1,9 @@
-//! End-to-end test of the HTTP front end over real sockets: a raw
-//! `TcpStream` client (no HTTP library exists in this offline
-//! workspace, which is the point of the hand-rolled server) exercises
-//! every endpoint, concurrent connections, and graceful shutdown.
+//! End-to-end test of the reactor over real sockets: a raw `TcpStream`
+//! client (no HTTP library exists in this offline workspace, which is
+//! the point of the hand-rolled server) exercises every endpoint, 8
+//! concurrent clients, a hot swap, the 413 drain and port release on
+//! shutdown. Unix-only, like the server (the reactor needs `poll(2)`).
+#![cfg(unix)]
 
 use aw_core::{
     CompiledWrapper, ExtractionService, LearnedRule, WrapperBundle, WrapperLanguage,
@@ -28,9 +30,8 @@ fn dealer_wrapper() -> CompiledWrapper {
 }
 
 /// Sends one request and returns `(status, body)`. Asks for
-/// `Connection: close` so reading to EOF frames the response under
-/// both engines (the reactor would otherwise hold the connection open
-/// for keep-alive).
+/// `Connection: close` so reading to EOF frames the response (the
+/// reactor would otherwise hold the connection open for keep-alive).
 fn roundtrip(addr: &std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let request = format!(

@@ -34,14 +34,13 @@
 //!     count and per-segment sizes without loading any wrapper.
 //!
 //! awrap serve --bundle FILE [--lazy [--max-resident N]]
-//!             [--addr HOST:PORT] [--threads N] [--workers M] [--blocking]
+//!             [--addr HOST:PORT] [--threads N] [--workers M]
 //!             [--relearn --dict FILE [--lang L] [--window N] [--max-empty-rate F]]
 //!     Load a wrapper artifact of any generation into a hot-swappable
 //!     registry and serve extraction over HTTP (POST /extract,
 //!     GET/POST /wrappers, GET /healthz, GET /health,
-//!     GET /health/{site}). The default engine is the event-driven
-//!     reactor (keep-alive, pipelining, backpressure); `--blocking`
-//!     selects the legacy connection-per-worker loop instead. With
+//!     GET /health/{site}) through the event-driven reactor
+//!     (keep-alive, pipelining, backpressure; unix-only). With
 //!     --lazy, FILE must be a v3 binary bundle: the registry starts
 //!     empty and faults wrappers in per site as requests name them,
 //!     keeping at most --max-resident resident (LRU eviction).
@@ -115,9 +114,8 @@ const USAGE: &str =
   serve --bundle FILE                       serve extraction over HTTP
         [--lazy [--max-resident N]]         (--lazy: FILE is a v3 binary
         [--addr HOST:PORT] [--threads N]     bundle, wrappers fault in per
-        [--workers M] [--blocking]           site, LRU-evicted at the cap;
-                                             --blocking: legacy loop instead
-                                             of the keep-alive reactor)
+        [--workers M]                        site, LRU-evicted at the cap;
+                                             keep-alive reactor, unix-only)
         [--relearn --dict FILE [--lang L] [--window N] [--max-empty-rate F]]
                                             (self-heal degraded sites by
                                             shadow relearning + hot swap)
@@ -523,25 +521,15 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("--workers: {e}"))?
         .unwrap_or(threads)
         .max(1);
-    // --blocking: the legacy connection-per-worker loop instead of the
-    // event-driven reactor — the differential oracle, and an escape
-    // hatch should a platform's poll(2) misbehave. (Non-unix builds
-    // always serve blocking.)
-    let blocking = has_flag(args, "--blocking") || cfg!(not(unix));
 
     let server = Server::bind(Arc::new(service), &addr)
         .map_err(|e| format!("bind {addr}: {e}"))?
-        .workers(workers)
-        .blocking(blocking);
+        .workers(workers);
     let local = server.local_addr().map_err(|e| e.to_string())?;
-    let mode = if blocking {
-        "blocking loop"
-    } else {
-        "event-driven reactor, keep-alive"
-    };
     println!("{banner}");
     println!(
-        "serving on http://{local} ({mode}; {workers} http worker(s), {threads} executor thread(s))"
+        "serving on http://{local} (event-driven reactor, keep-alive; \
+         {workers} http worker(s), {threads} executor thread(s))"
     );
     println!(
         "endpoints: POST /extract, GET /wrappers, POST /wrappers (hot swap), \

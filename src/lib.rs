@@ -29,7 +29,8 @@
 //!    resident in a hot-swappable [`aw_core::WrapperRegistry`], and
 //!    answer concurrent requests through an
 //!    [`aw_core::ExtractionService`] — fronted over HTTP by
-//!    [`aw_serve`] (`awrap serve --bundle out.json --addr 127.0.0.1:0`).
+//!    [`aw_serve`] (`awrap serve --bundle out.json --addr 127.0.0.1:0`;
+//!    one `poll(2)` event loop, so serving is unix-only).
 //!    At web scale, pack the bundle into the v3 binary format
 //!    (`awrap bundle pack`) and serve it **lazily** over an
 //!    [`aw_core::BundleStore`] with bounded residency
@@ -53,7 +54,8 @@
 //! | [`aw_annotate`] | `crates/annotate` | dictionary / zipcode / synthetic annotators |
 //! | [`aw_sitegen`] | `crates/sitegen` | synthetic DEALERS / DISC / PRODUCTS corpora with gold labels |
 //! | [`aw_core`] | **`crates/ntw`** | the Engine pipeline, portable artifacts/bundles, registry + extraction service, multi-type, single-entity |
-//! | [`aw_serve`] | `crates/serve` | std-only HTTP/1.1 front end for the extraction service |
+//! | [`aw_pool`] | `crates/pool` | the one work-stealing `Executor` every parallel stage shares |
+//! | [`aw_serve`] | `crates/serve` | std-only HTTP/1.1 front end for the extraction service (unix-only) |
 //! | [`aw_eval`] | `crates/eval` | metrics, train/test harness, per-figure experiment runners |
 //!
 //! ## Quickstart

@@ -160,30 +160,6 @@ fn artifact_rejects_wrong_version_and_garbage() {
 }
 
 #[test]
-fn deprecated_facade_agrees_with_engine_everywhere() {
-    #![allow(deprecated)]
-    let site = training_site();
-    let seed = labels(&site);
-    let m = model();
-    for language in WrapperLanguage::ALL {
-        let engine = Engine::builder(m.clone()).language(language).build();
-        let via_engine = engine.learn(&site, &seed).unwrap();
-        let via_facade = aw_core::learn(&site, language, &seed, &m, &NtwConfig::default());
-        assert_eq!(via_facade.ranked.len(), via_engine.len(), "{language}");
-        for (a, b) in via_facade.ranked.iter().zip(via_engine.iter()) {
-            assert_eq!(a.extraction, b.extraction, "{language}");
-            assert_eq!(a.rule, b.rule, "{language}");
-        }
-        let naive_facade = aw_core::naive_wrapper(&site, language, &seed);
-        let naive_engine = engine.naive(&site, &seed).unwrap();
-        assert_eq!(
-            naive_facade.extraction, naive_engine.extraction,
-            "{language}"
-        );
-    }
-}
-
-#[test]
 fn staged_pipeline_with_annotator_end_to_end() {
     let site = training_site();
     let engine = Engine::builder(model())

@@ -14,7 +14,7 @@
 //!   and site-sharded page-parallel evaluation across thread counts.
 
 use aw_dom::Document;
-use aw_eval::Executor;
+use aw_pool::Executor;
 use aw_sitegen::{generate_dealers, generate_disc, DealersConfig, DiscConfig};
 use aw_xpath::{
     reference, Axis, BatchEvaluator, CompiledXPath, NodeTest, Predicate, ShardedBatch, Step, XPath,
